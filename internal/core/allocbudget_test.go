@@ -23,8 +23,8 @@ const (
 	// cache sweep (answerSpace.prevalidate, shardedSpace.prevalidate).
 	validateAllocBudget = 0
 	// estimateAllocBudget covers one warm round's observation rebuild plus
-	// the flattened-bootstrap MoE (observations + MoESeeded): both run on
-	// pooled buffers.
+	// the closed-form BLB MoE (observations + MoE): the rebuild runs on
+	// pooled buffers and the MoE needs none.
 	estimateAllocBudget = 0
 	// mergeAllocBudget covers the stratified Horvitz–Thompson merge of a
 	// sharded round (Regroup excluded — the engine merges via pooled
@@ -87,13 +87,12 @@ func TestAllocBudgetEstimate(t *testing.T) {
 	defer release()
 	o := x.opts
 	obs := x.observations(ctx)
-	seed := x.moeSeed(query.Count, len(obs))
-	if _, err := estimate.MoESeeded(query.Count, obs, o.Policy, o.guarantee(), seed); err != nil {
+	if _, err := estimate.MoE(query.Count, obs, o.Policy, o.guarantee(), nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		obs := x.observations(ctx)
-		if _, err := estimate.MoESeeded(query.Count, obs, o.Policy, o.guarantee(), seed); err != nil {
+		if _, err := estimate.MoE(query.Count, obs, o.Policy, o.guarantee(), nil); err != nil {
 			panic(err)
 		}
 	})

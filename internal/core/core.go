@@ -55,9 +55,10 @@ type Options struct {
 	Repeat int
 	// Lambda is the desired sample ratio λ (default 0.3).
 	Lambda float64
-	// T, B, M configure the Bag of Little Bootstraps (defaults 3, 50, 0.6).
+	// T is the number of Bag of Little Bootstraps small samples (default
+	// 3); M is the BLB scale factor m (default 0.6), which sizes the first
+	// sample at T·(λ|C|)^m.
 	T int
-	B int
 	M float64
 	// MaxRounds caps refinement rounds (default 10; the paper observes
 	// Ne ≤ 10 in practice).
@@ -73,7 +74,7 @@ type Options struct {
 	MaxDraws int
 	// MinCorrect is the minimum number of correct draws required before a
 	// confidence interval is trusted for termination (default 30). With
-	// fewer, the bootstrap cannot see the heavy tail of the
+	// fewer, the variance estimate cannot see the heavy tail of the
 	// Horvitz–Thompson weights and reports over-tight intervals.
 	MinCorrect int
 	// Seed makes execution deterministic (default 1).
@@ -131,9 +132,6 @@ func (o Options) withDefaults() Options {
 	if o.T <= 0 {
 		o.T = 3
 	}
-	if o.B <= 0 {
-		o.B = 50
-	}
 	if o.M <= 0 || o.M > 1 {
 		o.M = 0.6
 	}
@@ -171,7 +169,7 @@ func (o Options) withDefaults() Options {
 }
 
 func (o Options) guarantee() estimate.GuaranteeConfig {
-	return estimate.GuaranteeConfig{Confidence: o.Confidence, T: o.T, B: o.B, M: o.M}
+	return estimate.GuaranteeConfig{Confidence: o.Confidence, T: o.T, M: o.M}
 }
 
 // StepTimes breaks the response time into the paper's three steps

@@ -47,7 +47,7 @@ func TestOptionsDefaults(t *testing.T) {
 	o := e.Options()
 	if o.Tau != 0.85 || o.ErrorBound != 0.01 || o.Confidence != 0.95 ||
 		o.N != 3 || o.Repeat != 3 || o.Lambda != 0.3 ||
-		o.T != 3 || o.B != 50 || o.M != 0.6 || o.MaxRounds != 10 {
+		o.T != 3 || o.M != 0.6 || o.MaxRounds != 10 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }
@@ -252,6 +252,41 @@ func TestGuaranteeCoverage(t *testing.T) {
 	}
 	if frac := float64(hits) / float64(runs); frac < 0.8 {
 		t.Fatalf("guarantee held in %v of runs, want ≥ 0.8", frac)
+	}
+}
+
+// Termination rests on the interval, not on bootstrap noise: with the
+// deterministic closed-form ε, the undamped Eq. 12 step reaches the target
+// in few rounds on nearly every seed of every guaranteed aggregate.
+func TestGuaranteeTermination(t *testing.T) {
+	queries := []*query.Aggregate{
+		countQuery(),
+		query.Simple(query.Sum, "price", "Germany", "Country", "product", "Automobile"),
+		avgPriceQuery(),
+	}
+	converged, runs, rounds := 0, 0, 0
+	for seed := int64(1); seed <= 100; seed++ {
+		e, _ := figure1Engine(t, Options{ErrorBound: 0.02, Seed: seed})
+		for _, q := range queries {
+			res, err := e.Execute(q)
+			if err != nil {
+				t.Fatalf("seed %d %v: %v", seed, q.Func, err)
+			}
+			runs++
+			rounds += len(res.Rounds)
+			if res.Converged {
+				converged++
+			}
+		}
+	}
+	share := float64(converged) / float64(runs)
+	mean := float64(rounds) / float64(runs)
+	t.Logf("converged %d/%d, mean rounds %.2f", converged, runs, mean)
+	if share < 0.97 {
+		t.Errorf("converged share %.3f, want ≥ 0.97", share)
+	}
+	if mean > 5.5 {
+		t.Errorf("mean rounds %.2f, want ≤ 5.5", mean)
 	}
 }
 

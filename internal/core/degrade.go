@@ -45,10 +45,10 @@ func (d Degradation) headroom() time.Duration {
 	return DefaultDeadlineHeadroom
 }
 
-// shouldStop reports whether a refinement loop that just spent lastRound on
-// its latest round should degrade now rather than start another round: the
-// context deadline is closer than one more round plus the headroom.
-func (d Degradation) shouldStop(ctx context.Context, lastRound time.Duration) bool {
+// shouldStop reports whether a refinement loop whose next round is
+// predicted to cost nextRound should degrade now rather than start it: the
+// context deadline is closer than that round plus the headroom.
+func (d Degradation) shouldStop(ctx context.Context, nextRound time.Duration) bool {
 	if !d.enabled() {
 		return false
 	}
@@ -56,7 +56,22 @@ func (d Degradation) shouldStop(ctx context.Context, lastRound time.Duration) bo
 	if !ok {
 		return false
 	}
-	return time.Until(deadline) < lastRound+d.headroom()
+	return time.Until(deadline) < nextRound+d.headroom()
+}
+
+// nextRoundCost predicts the cost of the next refinement round, which first
+// draws delta more answers and then revalidates, estimates and bounds the
+// grown sample, from the round that began at roundBegin plus the draw batch
+// that preceded it. Every step is linear in the sample size, so the last
+// round's cost scales by the growth factor (n+delta)/n — without it the
+// prediction falls short by up to the 6× growth cap of one Eq. 12 step.
+func (x *Execution) nextRoundCost(roundBegin time.Time, delta int) time.Duration {
+	last := time.Since(roundBegin) + x.lastDraw
+	n := len(x.drawIdx)
+	if n == 0 {
+		return last
+	}
+	return time.Duration(float64(last) * float64(n+delta) / float64(n))
 }
 
 // ShouldStop reports whether a refinement loop that just spent lastRound on

@@ -41,8 +41,9 @@ type Execution struct {
 	group   kg.AttrID
 	filters []resolvedFilter
 
-	degraded bool    // the guarantee loop stopped early under degrade
-	targetEB float64 // the bound the last Refine targeted
+	degraded bool          // the guarantee loop stopped early under degrade
+	targetEB float64       // the bound the last Refine targeted
+	lastDraw time.Duration // cost of the latest sampleMore batch
 
 	sp      *answerSpace
 	sh      *shardedSpace // non-nil when Options.Shards > 1
@@ -396,28 +397,14 @@ func (re *roundEval) estimate() (float64, error) {
 	return estimate.Estimate(re.fn, re.obs, x.opts.Policy)
 }
 
-// moe computes ε — the closed-form stratified CLT variance when sharded
-// (one O(|S|) pass), BLB otherwise.
+// moe computes ε — the closed-form stratified CLT variance when sharded,
+// the closed-form BLB otherwise; both are one O(|S|) pass.
 func (re *roundEval) moe() (float64, error) {
-	x := re.x
-	o := x.opts
+	o := re.x.opts
 	if re.strata != nil {
 		return estimate.MoEStratified(re.fn, re.strata, o.Policy, o.guarantee())
 	}
-	return estimate.MoESeeded(re.fn, re.obs, o.Policy, o.guarantee(), x.moeSeed(re.fn, len(re.obs)))
-}
-
-// moeSeed derives the BLB bootstrap stream for one MoE evaluation from the
-// execution seed, the aggregate function and the sample size. The bootstrap
-// deliberately does NOT consume x.rng: the draw stream stays a function of
-// draw counts alone, so pooled and unpooled execution, and a QueryMulti
-// versus sequential Query calls over the same plan, sample identically —
-// the determinism property tests pin this down. Distinct (fn, n) pairs map
-// to distinct pre-scramble seeds (fn is a small enum), and splitmix64
-// decorrelates consecutive sample sizes.
-func (x *Execution) moeSeed(fn query.AggFunc, n int) int64 {
-	sm := stats.NewSplitmix(x.opts.Seed + int64(n)*1_000_003 + int64(fn))
-	return int64(sm.Next())
+	return estimate.MoE(re.fn, re.obs, o.Policy, o.guarantee(), nil)
 }
 
 // sampleMore extends the draw list by k, honouring the MaxDraws budget. It
@@ -442,7 +429,8 @@ func (x *Execution) sampleMore(k int) bool {
 	}
 	x.drawIdx = append(x.drawIdx, fresh...)
 	x.e.countDraws(x.sp.answers, fresh)
-	x.times.Sampling += time.Since(begin)
+	x.lastDraw = time.Since(begin)
+	x.times.Sampling += x.lastDraw
 	return true
 }
 
@@ -530,8 +518,8 @@ func (x *Execution) Refine(ctx context.Context, eb float64) (res *Result, err er
 			}
 			return nil, err
 		}
-		// With too few correct draws the bootstrap cannot see the heavy
-		// tail of the HT weights; a CI computed now would terminate
+		// With too few correct draws the variance estimate cannot see the
+		// heavy tail of the HT weights; a CI computed now would terminate
 		// over-optimistically. Grow first.
 		if correct < o.MinCorrect {
 			if !x.sampleMore(len(x.drawIdx)) {
@@ -562,33 +550,29 @@ func (x *Execution) Refine(ctx context.Context, eb float64) (res *Result, err er
 			converged = true
 			break
 		}
-		// Deadline-aware degradation: when another round (predicted from this
-		// one's cost) would not fit before the context deadline, stop here and
-		// report the honest interval already held rather than be cancelled
-		// mid-validation. The estimate above is complete, so the answer is
-		// exactly what an earlier termination would have returned.
-		if x.degrade.shouldStop(ctx, time.Since(roundBegin)) {
-			x.degraded = true
-			break
-		}
 		begin = time.Now()
 		delta := o.FixedDelta
 		if delta <= 0 {
-			m := o.M
-			if x.sh != nil {
-				// The sharded guarantee uses the closed-form stratified CLT
-				// ε, which scales exactly as 1/√N — so the Eq. 12 sizing
-				// runs undamped (m = 1) instead of with the BLB's
-				// conservative exponent; the stable ε estimate makes the
-				// full step safe where the bootstrap's noise would not.
-				m = 1
-			}
-			delta = estimate.NextSampleSize(len(x.drawIdx), eps, v, eb, m)
+			// ε is a deterministic closed form that scales as 1/√N, so the
+			// Eq. 12 step runs undamped (m = 1): one round aims straight at
+			// the target instead of shrinking ε/target only to its 0.4th
+			// power, as the damped m = 0.6 step does.
+			delta = estimate.NextSampleSize(len(x.drawIdx), eps, v, eb, 1)
 		}
 		if max := 5 * len(x.drawIdx); delta > max {
-			delta = max // keep one round from ballooning on a noisy early ε
+			delta = max // keep one round from ballooning on an early, few-draw ε
 		}
 		x.times.Guarantee += time.Since(begin)
+		// Deadline-aware degradation: when another round (predicted from this
+		// one's cost and the sample's growth) would not fit before the context
+		// deadline, stop here and report the honest interval already held
+		// rather than be cancelled mid-validation. The estimate above is
+		// complete, so the answer is exactly what an earlier termination
+		// would have returned.
+		if x.degrade.shouldStop(ctx, x.nextRoundCost(roundBegin, delta)) {
+			x.degraded = true
+			break
+		}
 		if !x.sampleMore(delta) {
 			break // draw budget exhausted: report the best estimate so far
 		}
@@ -719,16 +703,16 @@ func (x *Execution) runGrouped(ctx context.Context, eb float64) (*Result, error)
 			converged = true
 			break
 		}
-		if x.degrade.shouldStop(ctx, time.Since(roundBegin)) {
-			x.degraded = true
-			break
-		}
 		delta := int(float64(len(x.drawIdx)) * (math.Pow(worstRatio, 2*o.M) - 1))
 		if delta < len(x.drawIdx)/2 {
 			delta = len(x.drawIdx) / 2
 		}
 		if max := 5 * len(x.drawIdx); delta > max {
 			delta = max
+		}
+		if x.degrade.shouldStop(ctx, x.nextRoundCost(roundBegin, delta)) {
+			x.degraded = true
+			break
 		}
 		if !x.sampleMore(delta) {
 			break // draw budget exhausted

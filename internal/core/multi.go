@@ -386,13 +386,6 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 			converged = true
 			break
 		}
-		// Deadline-aware degradation, as the single-aggregate loop: every
-		// spec's current interval is complete and honest, so stopping here
-		// beats being cancelled mid-round (see Degradation).
-		if haveEst && x.degrade.shouldStop(ctx, time.Since(roundBegin)) {
-			x.degraded = true
-			break
-		}
 		var delta int
 		switch {
 		case o.FixedDelta > 0:
@@ -403,11 +396,8 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 				delta = len(x.drawIdx) / 2
 			}
 		case !grouped && worst > 1:
-			m := o.M
-			if x.sh != nil {
-				m = 1 // stable stratified ε: undamped Eq. 12, as single-agg
-			}
-			delta = estimate.NextSampleSize(len(x.drawIdx), worstEps, worstV, worstEb, m)
+			// Deterministic ε: undamped Eq. 12 (m = 1), as single-agg.
+			delta = estimate.NextSampleSize(len(x.drawIdx), worstEps, worstV, worstEb, 1)
 		default:
 			// An unestimable or zero-estimate spec gives no ratio to size
 			// with: enlarge geometrically and retry, as the single path does.
@@ -415,6 +405,13 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 		}
 		if max := 5 * len(x.drawIdx); delta > max {
 			delta = max
+		}
+		// Deadline-aware degradation, as the single-aggregate loop: every
+		// spec's current interval is complete and honest, so stopping here
+		// beats being cancelled mid-round (see Degradation).
+		if haveEst && x.degrade.shouldStop(ctx, x.nextRoundCost(roundBegin, delta)) {
+			x.degraded = true
+			break
 		}
 		if !x.sampleMore(delta) {
 			break // draw budget exhausted: report the best estimates so far

@@ -7,8 +7,8 @@ import (
 	"kgaq/internal/stats"
 )
 
-// Micro-benchmarks of the estimation layer: point estimates and the BLB
-// margin of error, which dominate the guarantee step (S3).
+// Micro-benchmarks of the estimation layer: point estimates and the
+// closed-form BLB margin of error of the guarantee step (S3).
 
 func benchObservations(b *testing.B, n int) []Observation {
 	b.Helper()
@@ -39,14 +39,13 @@ func BenchmarkEstimateAvg1k(b *testing.B) {
 	}
 }
 
-func BenchmarkMoEBLB1k(b *testing.B) {
+func BenchmarkMoE1k(b *testing.B) {
 	obs := benchObservations(b, 1000)
-	r := stats.NewRand(3)
 	cfg := DefaultGuarantee()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MoE(query.Sum, obs, SampleSize, cfg, r); err != nil {
+		if _, err := MoE(query.Sum, obs, SampleSize, cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

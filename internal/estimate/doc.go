@@ -3,7 +3,7 @@
 // style estimators for COUNT and SUM (unbiased) and AVG (consistent) over
 // the non-uniform sample drawn from the stationary answer distribution π′,
 // confidence intervals via the Central Limit Theorem with the Bag of Little
-// Bootstraps variance estimate, the Theorem 2 termination test, and the
+// Bootstraps variance in closed form, the Theorem 2 termination test, and the
 // error-based sample-size configuration of Eq. 12.
 //
 // The package also provides the cross-shard side of sharded execution

@@ -2,9 +2,11 @@ package estimate
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"kgaq/internal/query"
+	"kgaq/internal/stats"
 )
 
 // A stratum the allocator never reached (zero draws) must not break the
@@ -94,7 +96,7 @@ func TestAllocateDrawsDegenerateStrata(t *testing.T) {
 func TestMoESingleObservation(t *testing.T) {
 	correct := []Observation{{Value: 42, Prob: 0.2, Correct: true}}
 	for _, fn := range []query.AggFunc{query.Count, query.Sum, query.Avg} {
-		eps, err := MoESeeded(fn, correct, SampleSize, DefaultGuarantee(), 7)
+		eps, err := MoE(fn, correct, SampleSize, DefaultGuarantee(), nil)
 		if err != nil {
 			t.Fatalf("%v single correct: %v", fn, err)
 		}
@@ -106,43 +108,79 @@ func TestMoESingleObservation(t *testing.T) {
 	incorrect := []Observation{{Value: 42, Prob: 0.2, Correct: false}}
 	// SampleSize COUNT/SUM estimate 0 with zero spread; the ratio and
 	// CorrectOnly forms have no defined estimate at all.
-	if eps, err := MoESeeded(query.Sum, incorrect, SampleSize, DefaultGuarantee(), 7); err != nil || eps != 0 {
+	if eps, err := MoE(query.Sum, incorrect, SampleSize, DefaultGuarantee(), nil); err != nil || eps != 0 {
 		t.Fatalf("SUM single incorrect under SampleSize: eps=%v err=%v, want 0, nil", eps, err)
 	}
 	for _, fn := range []query.AggFunc{query.Count, query.Sum} {
-		if _, err := MoESeeded(fn, incorrect, CorrectOnly, DefaultGuarantee(), 7); err == nil {
+		if _, err := MoE(fn, incorrect, CorrectOnly, DefaultGuarantee(), nil); err == nil {
 			t.Fatalf("%v single incorrect under CorrectOnly: want ErrNoCorrect", fn)
 		}
 	}
-	if _, err := MoESeeded(query.Avg, incorrect, SampleSize, DefaultGuarantee(), 7); err == nil {
+	if _, err := MoE(query.Avg, incorrect, SampleSize, DefaultGuarantee(), nil); err == nil {
 		t.Fatal("AVG single incorrect: want ErrNoCorrect")
 	}
 }
 
-// The MoE seed fully determines the bootstrap stream: same seed, same ε,
-// bitwise; different seeds perturb it. This is the property the engine's
-// guarantee-RNG split rests on.
-func TestMoESeededReproducible(t *testing.T) {
-	obs := make([]Observation, 120)
+// The closed-form MoE is the B→∞ limit of the Monte-Carlo Bag of Little
+// Bootstraps: on samples with a heavy-tailed 1/π′ it must agree with a
+// brute-force BLB of B = 5000 resamples per small sample within sampling
+// tolerance, for every guaranteed aggregate under both divisor policies.
+func TestMoEClosedFormMatchesBLB(t *testing.T) {
+	r := stats.NewRand(17)
+	obs := make([]Observation, 360)
 	for i := range obs {
-		obs[i] = Observation{Value: float64(5 + i%11), Prob: 0.005 + 0.001*float64(i%7), Correct: i%4 != 0}
+		// 1/π′ = 100·U^(-1/2.5): Pareto-tailed with finite variance.
+		obs[i] = Observation{
+			Value:   10 + 90*r.Float64(),
+			Prob:    0.01 * math.Pow(1-r.Float64(), 1/2.5),
+			Correct: r.Float64() < 0.7,
+		}
 	}
-	a, err := MoESeeded(query.Sum, obs, SampleSize, DefaultGuarantee(), 12345)
-	if err != nil {
-		t.Fatal(err)
+	cfg := DefaultGuarantee()
+	for _, pol := range []DivisorPolicy{SampleSize, CorrectOnly} {
+		for _, fn := range []query.AggFunc{query.Count, query.Sum, query.Avg} {
+			got, err := MoE(fn, obs, pol, cfg, nil)
+			if err != nil {
+				t.Fatalf("%v/%v: %v", fn, pol, err)
+			}
+			want := bruteForceBLB(t, fn, obs, pol, cfg, 5000, stats.NewRand(int64(fn)+10*int64(pol)))
+			rel := math.Abs(got-want) / want
+			t.Logf("%v/%v: closed form %.6g, Monte-Carlo %.6g (%.2f%%)", fn, pol, got, want, 100*rel)
+			if rel > 0.03 {
+				t.Errorf("%v/%v: closed form %.6g vs Monte-Carlo BLB %.6g (%.1f%% apart)",
+					fn, pol, got, want, 100*rel)
+			}
+		}
 	}
-	b, err := MoESeeded(query.Sum, obs, SampleSize, DefaultGuarantee(), 12345)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// bruteForceBLB is the Monte-Carlo Bag of Little Bootstraps the closed form
+// replaces: b resamples of size |S| with replacement from each of the T
+// small samples, Eq. 11's σ over their estimates, and the mean of z·σ.
+func bruteForceBLB(t *testing.T, fn query.AggFunc, obs []Observation, pol DivisorPolicy,
+	cfg GuaranteeConfig, b int, r *rand.Rand) float64 {
+
+	t.Helper()
+	chunk := len(obs) / cfg.T
+	resample := make([]Observation, len(obs))
+	ests := make([]float64, 0, b)
+	z := stats.ZCritical(cfg.Confidence)
+	sum := 0.0
+	for i := 0; i < cfg.T; i++ {
+		small := obs[i*chunk : (i+1)*chunk]
+		ests = ests[:0]
+		for rep := 0; rep < b; rep++ {
+			for j := range resample {
+				resample[j] = small[r.Intn(len(small))]
+			}
+			if v, err := Estimate(fn, resample, pol); err == nil {
+				ests = append(ests, v)
+			}
+		}
+		if len(ests) < b/2 {
+			t.Fatalf("%v/%v: only %d of %d resamples estimable", fn, pol, len(ests), b)
+		}
+		sum += z * stats.StdDev(ests)
 	}
-	if a != b {
-		t.Fatalf("same seed, different ε: %v vs %v", a, b)
-	}
-	c, err := MoESeeded(query.Sum, obs, SampleSize, DefaultGuarantee(), 54321)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == c {
-		t.Fatal("independent seeds produced identical ε — stream ignores the seed")
-	}
+	return sum / float64(cfg.T)
 }

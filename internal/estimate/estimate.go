@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"kgaq/internal/query"
 	"kgaq/internal/stats"
@@ -136,15 +135,13 @@ type GuaranteeConfig struct {
 	Confidence float64
 	// T is the number of BLB small samples (paper: t ≥ 3).
 	T int
-	// B is the number of bootstrap resamples per small sample (paper: ≥50).
-	B int
 	// M is the BLB scale factor m ∈ [0.5, 1] (paper: 0.6).
 	M float64
 }
 
 // DefaultGuarantee returns the paper's default configuration.
 func DefaultGuarantee() GuaranteeConfig {
-	return GuaranteeConfig{Confidence: 0.95, T: 3, B: 50, M: 0.6}
+	return GuaranteeConfig{Confidence: 0.95, T: 3, M: 0.6}
 }
 
 func (c GuaranteeConfig) withDefaults() GuaranteeConfig {
@@ -155,65 +152,11 @@ func (c GuaranteeConfig) withDefaults() GuaranteeConfig {
 	if c.T <= 0 {
 		c.T = d.T
 	}
-	if c.B <= 0 {
-		c.B = d.B
-	}
 	if c.M <= 0 || c.M > 1 {
 		c.M = d.M
 	}
 	return c
 }
-
-// moeKind selects the flattened bootstrap accumulator for one (fn, policy)
-// pair. The COUNT/SUM/AVG estimators are all of the form Σ termᵢ / divisor,
-// so a resample estimate needs only one or two running sums over
-// precomputed per-observation contributions — no Observation copies, no
-// per-element branching on correctness, no division in the inner loop.
-type moeKind int
-
-const (
-	// moeGeneric falls back to re-running Estimate per resample (MAX/MIN,
-	// or any future aggregate without a flat form).
-	moeGeneric moeKind = iota
-	// moePlain divides the HT term sum by the fixed resample size
-	// (COUNT/SUM under SampleSize): one accumulator.
-	moePlain
-	// moeByCount divides the HT term sum by the resample's correct count
-	// (COUNT/SUM under CorrectOnly): two accumulators, skip when none.
-	moeByCount
-	// moeRatio is the AVG ratio estimator Σ v/π′ / Σ 1/π′ over correct
-	// draws: two accumulators, skip when the denominator is empty.
-	moeRatio
-)
-
-// moeKindOf classifies (fn, pol); ok is false for the generic fallback.
-func moeKindOf(fn query.AggFunc, pol DivisorPolicy) moeKind {
-	switch fn {
-	case query.Count, query.Sum:
-		if pol == CorrectOnly {
-			return moeByCount
-		}
-		return moePlain
-	case query.Avg:
-		return moeRatio
-	default:
-		return moeGeneric
-	}
-}
-
-// moeScratch is the reusable working memory of one MoE evaluation: the
-// flattened per-observation contribution arrays and the resample estimate
-// buffer. Pooled so a warm guarantee round allocates nothing — the
-// guarantee loop calls MoE every round and the old per-call resample
-// materialisation was 93% of warm query CPU.
-type moeScratch struct {
-	valTerms []float64
-	cntTerms []float64
-	ests     []float64
-	resample []Observation // generic fallback only
-}
-
-var moePool = sync.Pool{New: func() any { return new(moeScratch) }}
 
 // grow returns buf resized to n, reallocating only when capacity is short.
 func grow(buf []float64, n int) []float64 {
@@ -224,35 +167,34 @@ func grow(buf []float64, n int) []float64 {
 }
 
 // MoE estimates the margin of error ε of the confidence interval V̂ ± ε at
-// the configured confidence level using the Bag of Little Bootstraps
-// (§IV-C): the sample is split into T small samples; each is bootstrapped B
-// times with resamples of size |S| — the size of the full collected sample,
-// so the bootstrap distribution matches the estimator actually reported;
-// Eq. 11 turns the resample estimates into a σ, Eq. 10 into an ε; the final
-// ε is the mean over small samples.
+// the configured confidence level with the Bag of Little Bootstraps
+// (§IV-C) in its B→∞ limit. The sample is split into T small samples; for
+// each, the standard deviation of the estimator over resamples of size |S|
+// (the size of the full collected sample, so the bootstrap distribution
+// matches the estimator actually reported) is computed in closed form
+// instead of from B Monte-Carlo resamples (Eq. 11); Eq. 10 turns it into
+// z·σ, and ε is the mean over small samples.
 //
-// The result is a deterministic function of (fn, obs, pol, cfg) and exactly
-// one Int63 drawn from r, which seeds the internal resampling stream: a
-// caller that derives r from a stable key gets a reproducible ε regardless
-// of how much randomness other subsystems consumed in between.
+// COUNT and SUM under SampleSize are a mean of |S| i.i.d. HT terms, so
+// σ² = popvar(terms)/|S| exactly. AVG and the CorrectOnly COUNT/SUM are
+// ratios Σt/Σc; their σ is the delta-method linearisation MoEStratified
+// also uses, popvar(t − R·c)/|S| / mean(c)² with R = mean(t)/mean(c) over
+// the small sample. A small sample without correct answers contributes no
+// ε. MAX and MIN carry no guarantee (§VII) and report ErrNoCorrect.
+//
+// The result is a deterministic function of (fn, obs, pol, cfg): r is
+// unused, kept so existing callers compile, and may be nil.
 func MoE(fn query.AggFunc, obs []Observation, pol DivisorPolicy,
 	cfg GuaranteeConfig, r *rand.Rand) (float64, error) {
-	return MoESeeded(fn, obs, pol, cfg, r.Int63())
-}
-
-// MoESeeded is MoE with the resampling stream seeded directly — the
-// allocation-free form the guarantee loop uses (constructing a *rand.Rand
-// per round costs a ~5KB source allocation; a seed is free). The engine
-// derives the seed from the query seed, the aggregate function and the
-// sample size, making ε independent of the draw stream's position.
-func MoESeeded(fn query.AggFunc, obs []Observation, pol DivisorPolicy,
-	cfg GuaranteeConfig, seed int64) (float64, error) {
 
 	cfg = cfg.withDefaults()
 	if len(obs) == 0 {
 		return 0, ErrNoObservations
 	}
-	resampleN := len(obs)
+	if fn == query.Max || fn == query.Min {
+		return 0, ErrNoCorrect
+	}
+	ratio := fn == query.Avg || pol == CorrectOnly
 	z := stats.ZCritical(cfg.Confidence)
 
 	t := cfg.T
@@ -260,37 +202,6 @@ func MoESeeded(fn query.AggFunc, obs []Observation, pol DivisorPolicy,
 		t = len(obs)
 	}
 	chunk := len(obs) / t
-	if chunk == 0 {
-		chunk = 1
-	}
-
-	sc := moePool.Get().(*moeScratch)
-	defer moePool.Put(sc)
-	sm := stats.NewSplitmix(seed)
-
-	kind := moeKindOf(fn, pol)
-	if kind != moeGeneric {
-		sc.valTerms = grow(sc.valTerms, len(obs))
-		sc.cntTerms = grow(sc.cntTerms, len(obs))
-		for i, o := range obs {
-			sc.valTerms[i], sc.cntTerms[i] = 0, 0
-			if !o.Correct || o.Prob <= 0 {
-				continue
-			}
-			switch kind {
-			case moePlain, moeByCount:
-				v := 1.0
-				if fn != query.Count {
-					v = o.Value
-				}
-				sc.valTerms[i] = v / o.Prob
-				sc.cntTerms[i] = 1 // correct-draw indicator
-			case moeRatio:
-				sc.valTerms[i] = o.Value / o.Prob
-				sc.cntTerms[i] = 1 / o.Prob
-			}
-		}
-	}
 
 	epsSum, epsN := 0.0, 0
 	for i := 0; i < t; i++ {
@@ -299,13 +210,7 @@ func MoESeeded(fn query.AggFunc, obs []Observation, pol DivisorPolicy,
 		if i == t-1 {
 			hi = len(obs)
 		}
-		var sigma float64
-		var err error
-		if kind == moeGeneric {
-			sigma, err = sc.genericSigma(fn, obs[lo:hi], pol, resampleN, cfg.B, &sm)
-		} else {
-			sigma, err = sc.flatSigma(kind, lo, hi, resampleN, cfg.B, &sm)
-		}
+		sigma, err := blbSigma(fn, ratio, obs[lo:hi], len(obs))
 		if err != nil {
 			// A small sample without correct answers contributes no ε; skip
 			// it rather than failing the whole guarantee round.
@@ -320,66 +225,57 @@ func MoESeeded(fn query.AggFunc, obs []Observation, pol DivisorPolicy,
 	return epsSum / float64(epsN), nil
 }
 
-// flatSigma estimates σ_V̂ per Eq. 11 over b resamples of size resampleN
-// drawn with replacement from the small sample [lo,hi), using the
-// precomputed contribution arrays: each resample element costs one bounded
-// splitmix draw and one or two adds.
-func (sc *moeScratch) flatSigma(kind moeKind, lo, hi, resampleN, b int, sm *stats.Splitmix) (float64, error) {
-	w := hi - lo
-	ests := sc.ests[:0]
-	for rep := 0; rep < b; rep++ {
-		if kind == moePlain {
-			sSum := 0.0
-			for j := 0; j < resampleN; j++ {
-				sSum += sc.valTerms[lo+sm.Intn(w)]
-			}
-			ests = append(ests, sSum/float64(resampleN))
-			continue
-		}
-		sSum, cSum := 0.0, 0.0
-		for j := 0; j < resampleN; j++ {
-			idx := lo + sm.Intn(w)
-			sSum += sc.valTerms[idx]
-			cSum += sc.cntTerms[idx]
-		}
-		if cSum == 0 {
-			continue // no correct draws in this resample: no estimate
-		}
-		ests = append(ests, sSum/cSum)
+// blbSigma returns the bootstrap standard deviation of fn's estimator over
+// resamples of size n drawn with replacement from small, in closed form:
+// the plain mean's popvar/n, or for a ratio estimator the delta-method
+// variance of Σt/Σc. Two streaming passes, no buffers.
+func blbSigma(fn query.AggFunc, ratio bool, small []Observation, n int) (float64, error) {
+	w := float64(len(small))
+	var meanT, meanC float64
+	for _, o := range small {
+		t, c := moeTerms(fn, o)
+		meanT += t
+		meanC += c
 	}
-	sc.ests = ests
-	if len(ests) < 2 {
-		return 0, ErrNoCorrect
+	meanT /= w
+	meanC /= w
+	r := 0.0
+	if ratio {
+		if meanC == 0 {
+			return 0, ErrNoCorrect
+		}
+		r = meanT / meanC
 	}
-	return stats.StdDev(ests), nil
+	// t − R·c centred; for the plain mean R = 0 and this is t − mean(t).
+	acc := 0.0
+	for _, o := range small {
+		t, c := moeTerms(fn, o)
+		d := (t - meanT) - r*(c-meanC)
+		acc += d * d
+	}
+	variance := acc / w / float64(n)
+	if ratio {
+		variance /= meanC * meanC
+	}
+	return math.Sqrt(variance), nil
 }
 
-// genericSigma is flatSigma for aggregates without a flat accumulator form:
-// it materialises each resample (into a reused buffer) and re-runs the full
-// estimator.
-func (sc *moeScratch) genericSigma(fn query.AggFunc, small []Observation, pol DivisorPolicy,
-	resampleN, b int, sm *stats.Splitmix) (float64, error) {
-
-	if cap(sc.resample) < resampleN {
-		sc.resample = make([]Observation, resampleN)
+// moeTerms returns one observation's numerator and denominator terms of the
+// estimator Σt/Σc: t is the HT term v·1{correct}/π′ (v = 1 for COUNT); c is
+// 1{correct}/π′ for AVG and the correct-draw indicator for COUNT/SUM (the
+// CorrectOnly divisor, unused under SampleSize).
+func moeTerms(fn query.AggFunc, o Observation) (t, c float64) {
+	if !o.Correct || o.Prob <= 0 {
+		return 0, 0
 	}
-	resample := sc.resample[:resampleN]
-	ests := sc.ests[:0]
-	for rep := 0; rep < b; rep++ {
-		for i := range resample {
-			resample[i] = small[sm.Intn(len(small))]
-		}
-		v, err := Estimate(fn, resample, pol)
-		if err != nil {
-			continue
-		}
-		ests = append(ests, v)
+	switch fn {
+	case query.Count:
+		return 1 / o.Prob, 1
+	case query.Avg:
+		return o.Value / o.Prob, 1 / o.Prob
+	default:
+		return o.Value / o.Prob, 1
 	}
-	sc.ests = ests
-	if len(ests) < 2 {
-		return 0, ErrNoCorrect
-	}
-	return stats.StdDev(ests), nil
 }
 
 // Target returns the Theorem 2 MoE target V̂·eb/(1+eb): once ε is at or

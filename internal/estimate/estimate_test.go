@@ -258,9 +258,8 @@ func TestMoEHigherConfidenceWiderInterval(t *testing.T) {
 	r := stats.NewRand(23)
 	pop := newPopulation(r, 50, 0.8)
 	obs := pop.draw(r, 300)
-	cfgLo := GuaranteeConfig{Confidence: 0.86, T: 3, B: 50, M: 0.6}
-	cfgHi := GuaranteeConfig{Confidence: 0.98, T: 3, B: 50, M: 0.6}
-	// Identical RNG streams keep the bootstrap noise comparable.
+	cfgLo := GuaranteeConfig{Confidence: 0.86, T: 3, M: 0.6}
+	cfgHi := GuaranteeConfig{Confidence: 0.98, T: 3, M: 0.6}
 	eLo, err := MoE(query.Sum, obs, SampleSize, cfgLo, stats.NewRand(1))
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +353,7 @@ func TestGuaranteeDefaults(t *testing.T) {
 	if cfg != DefaultGuarantee() {
 		t.Fatalf("defaults = %+v", cfg)
 	}
-	cfg = GuaranteeConfig{Confidence: 2, T: -1, B: 0, M: 5}.withDefaults()
+	cfg = GuaranteeConfig{Confidence: 2, T: -1, M: 5}.withDefaults()
 	if cfg != DefaultGuarantee() {
 		t.Fatalf("sanitised = %+v", cfg)
 	}

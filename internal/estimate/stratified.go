@@ -151,12 +151,11 @@ func stratifiedSumLenient(fn query.AggFunc, strata []Stratum, pol DivisorPolicy)
 // with the closed-form stratified CLT variance: the strata are independent,
 // so Var(V̂) = Σ_h s_h²/n_h with s_h the sample standard deviation of
 // stratum h's per-draw HT terms, and ε = z·σ at the configured confidence.
-// This is where the stratified decomposition pays on the guarantee step —
-// one O(|S|) pass replaces the unsharded path's T·B bootstrap resamples
-// (the BLB exists to see the pooled sample's heavy HT tail; the strata
-// localise that tail, and each stratum term is a plain mean of i.i.d.
-// draws whose variance the within-stratum s_h captures directly). AVG uses
-// the delta-method linearisation of the ratio. Strata too small to carry a
+// Like the unsharded path's closed-form BLB (MoE) it is one O(|S|) pass,
+// but it needs no small samples: the BLB exists to see the pooled sample's
+// heavy HT tail, the strata localise that tail, and each stratum term is a
+// plain mean of i.i.d. draws whose variance the within-stratum s_h captures
+// directly. AVG uses the delta-method linearisation of the ratio. Strata too small to carry a
 // variance signal (a single draw) are pooled and assessed jointly, erring
 // toward a wider interval.
 //

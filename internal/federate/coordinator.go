@@ -160,7 +160,7 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 	}
 	rq := core.ResolveQuery(c.base, opts...)
 	o := rq.Opts
-	gcfg := estimate.GuaranteeConfig{Confidence: o.Confidence, T: o.T, B: o.B, M: o.M}
+	gcfg := estimate.GuaranteeConfig{Confidence: o.Confidence, T: o.T, M: o.M}
 	qtext := q.String()
 	nm := len(c.cfg.Members)
 

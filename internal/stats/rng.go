@@ -20,11 +20,10 @@ func Fork(parent *rand.Rand) *rand.Rand {
 }
 
 // Splitmix is a splitmix64 generator: a single multiply-xorshift chain per
-// output, no allocation, no locking. The bootstrap hot loop draws millions
-// of bounded indices per query; math/rand's generic path was ~45% of warm
-// query CPU, so the resampler uses this instead. Not for cryptographic or
-// statistical-testing use — its output quality is ample for bootstrap index
-// selection, where only uniformity over a small range matters.
+// output, no allocation, no locking — a cheap way to derive decorrelated
+// seeds from a structured key (the federated coordinator seeds each
+// member's per-round draws with it). Not for cryptographic or
+// statistical-testing use.
 //
 // The zero value is a valid generator (a fixed stream); seed it via
 // NewSplitmix for a reproducible stream keyed to an experiment seed.

@@ -262,7 +262,7 @@ func TestAliasDegenerate(t *testing.T) {
 	}
 }
 
-// The splitmix generator behind the flattened bootstrap: deterministic per
+// The splitmix seed-derivation generator: deterministic per
 // seed, and its Lemire-style bounded draw stays in range over small and
 // large bounds alike.
 func TestSplitmixDeterministicBoundedDraws(t *testing.T) {

@@ -43,7 +43,8 @@
 // sample of candidate answers biased toward semantic similarity;
 // Horvitz–Thompson estimators with greedy correctness validation produce an
 // unbiased COUNT/SUM (consistent AVG) estimate; the Central Limit Theorem
-// with Bag-of-Little-Bootstraps variance yields a confidence interval that
+// with a Bag-of-Little-Bootstraps variance, computed in closed form (the
+// B→∞ limit of the paper's resampling), yields a confidence interval that
 // is iteratively tightened until the user's relative error bound holds.
 // Filters, GROUP-BY, MAX/MIN (without guarantee) and chain / star / cycle /
 // flower query shapes are supported (§V extensions).
